@@ -21,7 +21,7 @@
 use kamping_mpi::{RawRequest, Status};
 
 use crate::error::KResult;
-use crate::types::{bytes_to_pods, PodType};
+use crate::types::{payload_into_pods, PodType};
 
 enum NbState<T> {
     /// A send whose buffer is held until completion (synchronous mode), or
@@ -70,8 +70,8 @@ impl<T: PodType> NonBlockingResult<T> {
                 Ok((buf, status))
             }
             NbState::Recv { mut req, expected } => {
-                let (bytes, status) = req.wait()?;
-                let data = bytes_to_pods::<T>(&bytes)?;
+                let (payload, status) = req.wait_payload()?;
+                let data = payload_into_pods::<T>(payload)?;
                 check_expected(&data, expected)?;
                 Ok((data, status))
             }
@@ -97,9 +97,9 @@ impl<T: PodType> NonBlockingResult<T> {
                     Ok(None)
                 }
             },
-            NbState::Recv { mut req, expected } => match req.test()? {
-                Some((bytes, _status)) => {
-                    let data = bytes_to_pods::<T>(&bytes)?;
+            NbState::Recv { mut req, expected } => match req.test_payload()? {
+                Some((payload, _status)) => {
+                    let data = payload_into_pods::<T>(payload)?;
                     check_expected(&data, expected)?;
                     Ok(Some(data))
                 }
@@ -119,7 +119,7 @@ impl<T: PodType> NonBlockingResult<T> {
     }
 }
 
-fn check_expected<T>(data: &[T], expected: Option<usize>) -> KResult<()> {
+pub(crate) fn check_expected<T>(data: &[T], expected: Option<usize>) -> KResult<()> {
     if let Some(n) = expected {
         if data.len() != n {
             return Err(crate::KampingError::InvalidArgument(

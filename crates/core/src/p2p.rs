@@ -9,9 +9,9 @@ use kamping_mpi::Status;
 
 use crate::communicator::Communicator;
 use crate::error::KResult;
-use crate::nonblocking::NonBlockingResult;
+use crate::nonblocking::{check_expected, NonBlockingResult};
 use crate::params::{Destination, RecvCount, SendBuf, SendBufSlot, Source, TagParam};
-use crate::types::{bytes_to_pods, pod_as_bytes, PodType};
+use crate::types::{payload_into_pods, pods_into_payload, PodType};
 
 /// Default tag of point-to-point operations when none is named.
 pub const DEFAULT_TAG: kamping_mpi::Tag = 0;
@@ -155,10 +155,11 @@ impl<'c, S> Send<'c, S> {
             dest,
             tag,
         } = self;
-        // One encode copy either way; the wire buffer is moved (not
-        // re-copied) into the transport.
-        let wire = pod_as_bytes(send.slice()).to_vec();
-        comm.raw().send_owned(dest, tag, wire)?;
+        // A borrowed buffer is copied once, an owned one not at all; the
+        // `Vec<T>` travels as the payload, and a receiver on the shm
+        // backend takes it over as is.
+        comm.raw()
+            .send_payload(dest, tag, pods_into_payload(send.into_vec()))?;
         Ok(())
     }
 }
@@ -191,15 +192,9 @@ impl<'c, T: PodType> Recv<'c, T> {
             expected,
             ..
         } = self;
-        let (bytes, status) = comm.raw().recv(src, tag)?;
-        let data = bytes_to_pods::<T>(&bytes)?;
-        if let Some(n) = expected {
-            if data.len() != n {
-                return Err(crate::KampingError::InvalidArgument(
-                    "received element count differs from recv_count",
-                ));
-            }
-        }
+        let (payload, status) = comm.raw().recv_payload(src, tag)?;
+        let data = payload_into_pods::<T>(payload)?;
+        check_expected(&data, expected)?;
         Ok((data, status))
     }
 }
@@ -225,11 +220,13 @@ impl<'c, S> Isend<'c, S> {
             tag,
             synchronous,
         } = self;
-        let wire = pod_as_bytes(send.slice()).to_vec();
+        // The caller gets the buffer back from `wait()`, so the payload is
+        // the one encode copy.
+        let wire = pods_into_payload(send.slice().to_vec());
         let req = if synchronous {
-            comm.raw().issend(dest, tag, wire)?
+            comm.raw().issend_payload(dest, tag, wire)?
         } else {
-            comm.raw().isend(dest, tag, wire)?
+            comm.raw().isend_payload(dest, tag, wire)?
         };
         let buf = send.reclaim().unwrap_or_default();
         Ok(NonBlockingResult::send(req, buf))
@@ -267,6 +264,8 @@ impl<'c, T: PodType> Irecv<'c, T> {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use crate::types::{pod_as_bytes, PodType};
+    use crate::KampingError;
 
     #[test]
     fn typed_ping_pong_with_tags() {
@@ -341,5 +340,126 @@ mod tests {
                 comm.recv::<u32>(source(0)).tag(3).call().unwrap();
             }
         });
+    }
+
+    /// Sends `data` from rank 0 to rank 1, which receives `[R]`. Returns
+    /// the sender's data pointer, the receiver's, and what it received.
+    fn hand_over<S: PodType, R: PodType>(data: Vec<S>) -> (usize, usize, Vec<R>) {
+        let data = std::sync::Mutex::new(Some(data));
+        let out = crate::run(2, |comm| {
+            if comm.rank() == 0 {
+                let v = data.lock().unwrap().take().unwrap();
+                let ptr = v.as_ptr() as usize;
+                comm.send(send_buf_owned(v), destination(1)).call().unwrap();
+                (ptr, Vec::new())
+            } else {
+                let (got, _) = comm.recv::<R>(source(0)).call().unwrap();
+                (got.as_ptr() as usize, got)
+            }
+        });
+        let [(sent, _), (recvd, got)] = <[_; 2]>::try_from(out).ok().unwrap();
+        (sent, recvd, got)
+    }
+
+    #[test]
+    fn owned_send_hands_its_allocation_to_the_receiver() {
+        let data: Vec<u64> = (0..1000).collect();
+        let (sent, recvd, got) = hand_over::<u64, u64>(data.clone());
+        assert_eq!(sent, recvd, "no copy between send_buf_owned and recv");
+        assert_eq!(got, data);
+        // Same size and alignment, other type: still no copy.
+        let (sent, recvd, got) = hand_over::<u64, f64>(vec![1.5f64.to_bits(); 100]);
+        assert_eq!(sent, recvd);
+        assert_eq!(got, vec![1.5; 100]);
+    }
+
+    #[test]
+    fn layouts_that_do_not_fit_are_copied_with_equal_contents() {
+        let pairs: Vec<[u32; 2]> = (0..100).map(|i| [i, i + 1]).collect();
+        let (sent, recvd, got) = hand_over::<[u32; 2], u64>(pairs.clone());
+        assert_ne!(sent, recvd, "alignment 4 cannot become a Vec<u64>");
+        let want: Vec<u64> = crate::types::bytes_to_pods(pod_as_bytes(&pairs)).unwrap();
+        assert_eq!(got, want);
+        // Raw bytes (alignment 1) into u64.
+        let words: Vec<u64> = (0..100).map(|i| i * 3).collect();
+        let bytes = pod_as_bytes(&words).to_vec();
+        let (sent, recvd, got) = hand_over::<u8, u64>(bytes);
+        assert_ne!(sent, recvd);
+        assert_eq!(got, words);
+    }
+
+    #[test]
+    fn small_and_empty_messages_ride_inline() {
+        let (_, _, got) = hand_over::<u64, u64>(Vec::new());
+        assert!(got.is_empty());
+        // 32 B fit inline: the receiver's buffer is a fresh one.
+        let (sent, recvd, got) = hand_over::<u64, u64>(vec![7, 8, 9, 10]);
+        assert_ne!(sent, recvd);
+        assert_eq!(got, vec![7, 8, 9, 10]);
+    }
+
+    #[test]
+    fn partial_elements_are_rejected() {
+        crate::run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.raw().send(1, 0, &[0u8; 12]).unwrap();
+                comm.raw().send(1, 0, &[0u8; 36]).unwrap();
+            } else {
+                for _ in 0..2 {
+                    let r = comm.recv::<u64>(source(0)).call();
+                    assert!(matches!(r, Err(KampingError::InvalidArgument(_))));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn typed_send_reaches_a_raw_receive_byte_for_byte() {
+        let data: Vec<u32> = (0..1000).map(|i| i * 7 + 1).collect();
+        crate::run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(send_buf(&data), destination(1)).call().unwrap();
+            } else {
+                let (bytes, st) = comm.raw().recv(0, 0).unwrap();
+                assert_eq!(bytes, pod_as_bytes(&data));
+                assert_eq!(st.bytes, 4000);
+            }
+        });
+    }
+
+    #[test]
+    fn unreceived_typed_message_is_freed_at_teardown() {
+        crate::run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(send_buf_owned(vec![1u64; 1 << 17]), destination(1))
+                    .call()
+                    .unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn irecv_takes_the_allocation_through_wait_and_test() {
+        let out = crate::run(2, |comm| {
+            if comm.rank() == 0 {
+                let (a, b) = (vec![1u64; 100], vec![2u64; 100]);
+                let ptrs = vec![a.as_ptr() as usize, b.as_ptr() as usize];
+                comm.send(send_buf_owned(a), destination(1)).call().unwrap();
+                comm.send(send_buf_owned(b), destination(1)).call().unwrap();
+                ptrs
+            } else {
+                let waited = comm.irecv::<u64>(source(0)).call().unwrap().wait().unwrap();
+                let mut r = comm.irecv::<u64>(source(0)).call().unwrap();
+                let tested = loop {
+                    if let Some(d) = r.test().unwrap() {
+                        break d;
+                    }
+                    std::thread::yield_now();
+                };
+                assert_eq!((waited[0], tested[0]), (1, 2));
+                vec![waited.as_ptr() as usize, tested.as_ptr() as usize]
+            }
+        });
+        assert_eq!(out[0], out[1]);
     }
 }

@@ -57,6 +57,9 @@ pub trait SendBufSlot<T: PodType> {
     fn slice(&self) -> &[T];
     /// Recovers the owned buffer, if the parameter transferred ownership.
     fn reclaim(self) -> Option<Vec<T>>;
+    /// The elements as an owned buffer: moved if the parameter transferred
+    /// ownership, copied once otherwise.
+    fn into_vec(self) -> Vec<T>;
 }
 
 impl<T: PodType> SendBufSlot<T> for SendBuf<&[T]> {
@@ -66,6 +69,9 @@ impl<T: PodType> SendBufSlot<T> for SendBuf<&[T]> {
     fn reclaim(self) -> Option<Vec<T>> {
         None
     }
+    fn into_vec(self) -> Vec<T> {
+        self.data.to_vec()
+    }
 }
 
 impl<T: PodType> SendBufSlot<T> for SendBuf<Vec<T>> {
@@ -74,6 +80,9 @@ impl<T: PodType> SendBufSlot<T> for SendBuf<Vec<T>> {
     }
     fn reclaim(self) -> Option<Vec<T>> {
         Some(self.data)
+    }
+    fn into_vec(self) -> Vec<T> {
+        self.data
     }
 }
 

@@ -18,6 +18,8 @@
 //! 3. **Serialization** — arbitrary heap-backed data through the explicit
 //!    [`crate::as_serialized`] adapter (see [`crate::serialize`]).
 
+use kamping_mpi::transport::{Payload, WireBuf};
+
 use crate::error::{KResult, KampingError};
 
 /// Marker for types transmitted as raw bytes.
@@ -133,21 +135,28 @@ pub fn pod_as_bytes<T: PodType>(data: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data)) }
 }
 
-/// Copies wire bytes into a fresh `Vec<T>`.
-pub fn bytes_to_pods<T: PodType>(bytes: &[u8]) -> KResult<Vec<T>> {
+/// Number of `T` elements encoded in `len` wire bytes. Errors when `len`
+/// is not a whole number of elements, which for a zero-sized `T` means any
+/// non-empty input. Every decoder below checks its input through this.
+fn wire_elements<T: PodType>(len: usize) -> KResult<usize> {
     if T::SIZE == 0 {
-        return if bytes.is_empty() {
-            Ok(Vec::new())
+        return if len == 0 {
+            Ok(0)
         } else {
             Err(KampingError::InvalidArgument("bytes for zero-sized type"))
         };
     }
-    if !bytes.len().is_multiple_of(T::SIZE) {
+    if !len.is_multiple_of(T::SIZE) {
         return Err(KampingError::InvalidArgument(
             "byte length not a multiple of element size",
         ));
     }
-    let n = bytes.len() / T::SIZE;
+    Ok(len / T::SIZE)
+}
+
+/// Copies wire bytes into a fresh `Vec<T>`.
+pub fn bytes_to_pods<T: PodType>(bytes: &[u8]) -> KResult<Vec<T>> {
+    let n = wire_elements::<T>(bytes.len())?;
     let mut out = Vec::<T>::with_capacity(n);
     // SAFETY: capacity reserved above; every bit pattern is a valid T, and
     // we copy exactly n * SIZE initialized bytes.
@@ -161,15 +170,7 @@ pub fn bytes_to_pods<T: PodType>(bytes: &[u8]) -> KResult<Vec<T>> {
 /// Copies wire bytes into an existing pod slice (no allocation). `out` must
 /// be at least as long as the decoded element count.
 pub fn bytes_into_pods<T: PodType>(bytes: &[u8], out: &mut [T]) -> KResult<usize> {
-    if T::SIZE == 0 {
-        return Ok(0);
-    }
-    if !bytes.len().is_multiple_of(T::SIZE) {
-        return Err(KampingError::InvalidArgument(
-            "byte length not a multiple of element size",
-        ));
-    }
-    let n = bytes.len() / T::SIZE;
+    let n = wire_elements::<T>(bytes.len())?;
     if n > out.len() {
         return Err(KampingError::BufferTooSmall {
             needed: n,
@@ -187,16 +188,7 @@ pub fn bytes_into_pods<T: PodType>(bytes: &[u8], out: &mut [T]) -> KResult<usize
 /// reusing its allocation and skipping zero-initialization (the elements
 /// are written exactly once). The resize-to-fit receive paths use this.
 pub fn fill_pod_vec_from_bytes<T: PodType>(buf: &mut Vec<T>, bytes: &[u8]) -> KResult<()> {
-    if T::SIZE == 0 {
-        buf.clear();
-        return Ok(());
-    }
-    if !bytes.len().is_multiple_of(T::SIZE) {
-        return Err(KampingError::InvalidArgument(
-            "byte length not a multiple of element size",
-        ));
-    }
-    let n = bytes.len() / T::SIZE;
+    let n = wire_elements::<T>(bytes.len())?;
     buf.clear();
     buf.reserve(n);
     // SAFETY: capacity reserved above; all n * SIZE bytes are written
@@ -206,6 +198,30 @@ pub fn fill_pod_vec_from_bytes<T: PodType>(buf: &mut Vec<T>, bytes: &[u8]) -> KR
         buf.set_len(n);
     }
     Ok(())
+}
+
+/// Packs an owned pod buffer as a message payload without copying, so a
+/// receiver of the same element alignment can take the allocation over
+/// (see [`payload_into_pods`]). At most
+/// [`INLINE_CAP`](kamping_mpi::transport::INLINE_CAP) bytes ride inline.
+pub fn pods_into_payload<T: PodType>(data: Vec<T>) -> Payload {
+    // SAFETY: PodType has no padding bytes, so every byte is initialized.
+    Payload::from_buf(unsafe { WireBuf::from_pods(data) })
+}
+
+/// Decodes a received payload into a `Vec<T>` — the one typed decode of
+/// every point-to-point receive. A payload that is the only holder of a
+/// buffer allocated with `T`'s alignment (a typed send on the shm backend)
+/// becomes the `Vec<T>` without copying; anything else — inline, shared by
+/// a fan-out, other alignment, bytes read off a socket or ring — is copied
+/// once.
+pub fn payload_into_pods<T: PodType>(payload: Payload) -> KResult<Vec<T>> {
+    wire_elements::<T>(payload.len())?;
+    match payload.into_unique() {
+        // SAFETY: PodType accepts every bit pattern.
+        Ok(buf) => unsafe { buf.into_pods::<T>() }.or_else(|buf| bytes_to_pods(buf.as_slice())),
+        Err(payload) => bytes_to_pods(payload.as_slice()),
+    }
 }
 
 /// Views one pod value as its wire bytes.
@@ -309,6 +325,56 @@ mod tests {
     fn misaligned_lengths_rejected() {
         assert!(bytes_to_pods::<u32>(&[0u8; 7]).is_err());
         assert!(bytes_to_pods::<u32>(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn zero_sized_elements_reject_bytes_in_every_decoder() {
+        type Zst = [u8; 0];
+        let bytes = [1u8, 2, 3];
+        let invalid = |r: KResult<_>| matches!(r, Err(KampingError::InvalidArgument(_)));
+        assert!(invalid(bytes_to_pods::<Zst>(&bytes).map(drop)));
+        assert!(invalid(
+            bytes_into_pods::<Zst>(&bytes, &mut [[]; 4]).map(drop)
+        ));
+        let mut buf: Vec<Zst> = vec![[]; 2];
+        assert!(invalid(fill_pod_vec_from_bytes(&mut buf, &bytes)));
+        assert_eq!(buf.len(), 2, "a rejected decode leaves the buffer alone");
+        let payload = Payload::from_vec(vec![0u8; 64]);
+        assert!(invalid(payload_into_pods::<Zst>(payload).map(drop)));
+        // No bytes decode to no elements everywhere.
+        assert!(bytes_to_pods::<Zst>(&[]).unwrap().is_empty());
+        assert_eq!(bytes_into_pods::<Zst>(&[], &mut []).unwrap(), 0);
+        fill_pod_vec_from_bytes(&mut buf, &[]).unwrap();
+        assert!(buf.is_empty());
+        let empty = pods_into_payload::<Zst>(vec![[]; 3]);
+        assert!(empty.is_empty());
+        assert!(payload_into_pods::<Zst>(empty).unwrap().is_empty());
+    }
+
+    #[test]
+    fn payload_decode_takes_over_a_unique_fitting_buffer() {
+        let v: Vec<u64> = (0..64).collect();
+        let ptr = v.as_ptr();
+        let back: Vec<u64> = payload_into_pods(pods_into_payload(v)).unwrap();
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(back, (0..64).collect::<Vec<u64>>());
+        // Aliased by a clone: the first decode copies, the last holder's
+        // does not.
+        let a = pods_into_payload(back);
+        let b = a.clone();
+        let copied: Vec<f64> = payload_into_pods(a).unwrap();
+        assert_ne!(copied.as_ptr().cast::<u64>(), ptr);
+        assert_eq!(copied[5].to_bits(), 5);
+        let last: Vec<u64> = payload_into_pods(b).unwrap();
+        assert_eq!(last.as_ptr(), ptr);
+        // Lengths that are not whole elements are rejected, inline or not.
+        for len in [12, 36] {
+            let r = payload_into_pods::<u64>(Payload::from_vec(vec![0; len]));
+            assert!(
+                matches!(r, Err(KampingError::InvalidArgument(_))),
+                "{len} B"
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //!
 //! Buffers travel as [`Payload`]s: messages of at most
 //! [`crate::transport::INLINE_CAP`] bytes are carried inline in the envelope
-//! (no allocation), larger ones as a refcounted heap buffer that fan-out
-//! senders (broadcast) share across all receivers.
+//! (no allocation), larger ones as a refcounted [`crate::transport::WireBuf`]
+//! that fan-out senders (broadcast) share across all receivers and that a
+//! sole receiver takes over without copying. The `*_payload` variants move
+//! a packed payload through unchanged; the typed layer uses them to hand
+//! its `Vec<T>` to the receiver.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,34 +109,28 @@ impl RawComm {
     /// Payloads up to [`crate::transport::INLINE_CAP`] bytes travel inline
     /// in the envelope and never touch the heap.
     pub fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> MpiResult<()> {
-        let _op = self.record(Op::Send);
-        let dest_global = self.check_dest(dest)?;
-        self.post_to(dest_global, tag, Payload::from_slice(payload), None);
-        Ok(())
+        self.send_payload(dest, tag, Payload::from_slice(payload))
     }
 
     /// Blocking send that *moves* the buffer (no copy) — the substrate
     /// counterpart of KaMPIng's ownership-transferring `send_buf(move)`.
     pub fn send_owned(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<()> {
+        self.send_payload(dest, tag, Payload::from_vec(payload))
+    }
+
+    /// Blocking send of a packed [`Payload`]: the transport carries it as
+    /// is, so a payload built from a typed buffer reaches the receiver
+    /// with that buffer's allocation.
+    pub fn send_payload(&self, dest: usize, tag: Tag, payload: Payload) -> MpiResult<()> {
         let _op = self.record(Op::Send);
         let dest_global = self.check_dest(dest)?;
-        self.post_to(dest_global, tag, Payload::from_vec(payload), None);
+        self.post_to(dest_global, tag, payload, None);
         Ok(())
     }
 
-    /// Blocking send of an already-shared buffer: the receiver aliases the
-    /// same allocation. Fan-out senders (broadcast) post one `Arc` per child
-    /// instead of one copy per child.
-    pub fn send_shared(&self, dest: usize, tag: Tag, payload: Arc<Vec<u8>>) -> MpiResult<()> {
-        let _op = self.record(Op::Send);
-        let dest_global = self.check_dest(dest)?;
-        self.post_to(dest_global, tag, Payload::from_shared(payload), None);
-        Ok(())
-    }
-
-    /// Blocking receive returning the transport payload (zero-copy when the
-    /// payload is uniquely held).
-    pub(crate) fn recv_payload(&self, source: usize, tag: Tag) -> MpiResult<(Payload, Status)> {
+    /// Blocking receive returning the transport payload, which holds the
+    /// sender's allocation when nothing else references it.
+    pub fn recv_payload(&self, source: usize, tag: Tag) -> MpiResult<(Payload, Status)> {
         let _op = self.record(Op::Recv);
         let key = self.match_key(source, tag)?;
         let me = self.my_global_rank();
@@ -194,24 +191,29 @@ impl RawComm {
     /// Non-blocking standard-mode send. Completes immediately (eager
     /// transport) but still returns a request for uniform completion code.
     pub fn isend(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<RawRequest> {
+        self.isend_payload(dest, tag, Payload::from_vec(payload))
+    }
+
+    /// [`RawComm::isend`] of a packed [`Payload`].
+    pub fn isend_payload(&self, dest: usize, tag: Tag, payload: Payload) -> MpiResult<RawRequest> {
         let _op = self.record(Op::Isend);
         let dest_global = self.check_dest(dest)?;
-        self.post_to(dest_global, tag, Payload::from_vec(payload), None);
+        self.post_to(dest_global, tag, payload, None);
         Ok(RawRequest::new(self.state.clone(), RequestKind::SendDone))
     }
 
     /// Non-blocking synchronous-mode send: the request completes only once a
     /// matching receive has consumed the message (needed by NBX).
     pub fn issend(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<RawRequest> {
+        self.issend_payload(dest, tag, Payload::from_vec(payload))
+    }
+
+    /// [`RawComm::issend`] of a packed [`Payload`].
+    pub fn issend_payload(&self, dest: usize, tag: Tag, payload: Payload) -> MpiResult<RawRequest> {
         let _op = self.record(Op::Issend);
         let dest_global = self.check_dest(dest)?;
         let ack = Arc::new(AckCell::default());
-        self.post_to(
-            dest_global,
-            tag,
-            Payload::from_vec(payload),
-            Some(ack.clone()),
-        );
+        self.post_to(dest_global, tag, payload, Some(ack.clone()));
         Ok(RawRequest::new(
             self.state.clone(),
             RequestKind::Ssend { ack, dest_global },
@@ -477,20 +479,6 @@ mod tests {
             } else {
                 let (msg, _) = comm.recv(0, 0).unwrap();
                 assert_eq!(msg, vec![1, 2, 3]);
-            }
-        });
-    }
-
-    #[test]
-    fn send_shared_aliases_one_allocation() {
-        Universe::run(3, |comm| {
-            if comm.rank() == 0 {
-                let buf = Arc::new(vec![5u8; 1000]);
-                comm.send_shared(1, 0, buf.clone()).unwrap();
-                comm.send_shared(2, 0, buf).unwrap();
-            } else {
-                let (msg, _) = comm.recv(0, 0).unwrap();
-                assert_eq!(msg, vec![5u8; 1000]);
             }
         });
     }

@@ -16,8 +16,15 @@ use std::time::{Duration, Instant};
 use crate::error::{MpiError, MpiResult};
 use crate::icoll::RawCollRequest;
 use crate::p2p::Status;
-use crate::transport::{AckCell, MatchKey};
+use crate::transport::{AckCell, MatchKey, Payload};
 use crate::universe::{wait_interrupt, UniverseState};
+
+/// The status a completed send or barrier reports.
+const DONE_STATUS: Status = Status {
+    source: usize::MAX,
+    tag: 0,
+    bytes: 0,
+};
 
 /// What a request is waiting for.
 pub(crate) enum RequestKind {
@@ -87,31 +94,39 @@ impl RawRequest {
     /// when complete. A completed (null) request reports `Some(None)`-like
     /// behaviour: it is complete with no payload.
     pub fn test(&mut self) -> MpiResult<Option<(Vec<u8>, Status)>> {
-        match self.test_any()? {
-            None => Ok(None),
-            Some(Completion::Done) => Ok(Some((
-                Vec::new(),
-                Status {
-                    source: usize::MAX,
-                    tag: 0,
-                    bytes: 0,
-                },
-            ))),
-            Some(Completion::Message(payload, status)) => Ok(Some((payload, status))),
-        }
+        Ok(self
+            .test_payload()?
+            .map(|(payload, status)| (payload.into_vec(), status)))
+    }
+
+    /// [`RawRequest::test`] returning the transport payload, which holds
+    /// the sender's allocation when nothing else references it.
+    pub fn test_payload(&mut self) -> MpiResult<Option<(Payload, Status)>> {
+        Ok(self
+            .poll()?
+            .map(|done| done.unwrap_or_else(|| (Payload::from_slice(&[]), DONE_STATUS))))
     }
 
     /// Polls for completion, distinguishing send/barrier completions from
     /// message deliveries.
     pub fn test_any(&mut self) -> MpiResult<Option<Completion>> {
+        Ok(self.poll()?.map(|done| match done {
+            None => Completion::Done,
+            Some((payload, status)) => Completion::Message(payload.into_vec(), status),
+        }))
+    }
+
+    /// One completion check: `None` while pending, `Some(None)` for a
+    /// completed send or barrier, `Some(Some(..))` for a delivered message.
+    fn poll(&mut self) -> MpiResult<Option<Option<(Payload, Status)>>> {
         let Some(kind) = self.kind.take() else {
-            return Ok(Some(Completion::Done));
+            return Ok(Some(None));
         };
         match kind {
-            RequestKind::SendDone => Ok(Some(Completion::Done)),
+            RequestKind::SendDone => Ok(Some(None)),
             RequestKind::Ssend { ack, dest_global } => {
                 if ack.is_set() {
-                    Ok(Some(Completion::Done))
+                    Ok(Some(None))
                 } else if self.state.is_gone(dest_global) {
                     // The destination will never match this message.
                     Err(crate::MpiError::ProcFailed { rank: dest_global })
@@ -123,22 +138,24 @@ impl RawRequest {
             RequestKind::Recv { key, me, group } => {
                 // Surface failures/revocation even while polling.
                 let interrupt = wait_interrupt(&self.state, key.src, key.ctx);
-                match self.state.mailbox(me).try_take(key) {
-                    Some(d) => {
-                        let status = Self::local_status(&group, d.src, d.tag, d.payload.len());
-                        Ok(Some(Completion::Message(d.payload.into_vec(), status)))
-                    }
-                    None => {
-                        if let Some(err) = interrupt() {
-                            return Err(err);
+                let mailbox = self.state.mailbox(me);
+                let d = match mailbox.try_take(key) {
+                    Some(d) => d,
+                    // As in the blocking wait: a message deposited just
+                    // before the peer was marked gone is still matched.
+                    None => match interrupt() {
+                        Some(err) => mailbox.try_take(key).ok_or(err)?,
+                        None => {
+                            self.kind = Some(RequestKind::Recv { key, me, group });
+                            return Ok(None);
                         }
-                        self.kind = Some(RequestKind::Recv { key, me, group });
-                        Ok(None)
-                    }
-                }
+                    },
+                };
+                let status = Self::local_status(&group, d.src, d.tag, d.payload.len());
+                Ok(Some(Some((d.payload, status))))
             }
             RequestKind::Coll(mut req) => match req.test() {
-                Ok(Some(_)) => Ok(Some(Completion::Done)),
+                Ok(Some(_)) => Ok(Some(None)),
                 Ok(None) => {
                     self.kind = Some(RequestKind::Coll(req));
                     Ok(None)
@@ -155,6 +172,12 @@ impl RawRequest {
         self.wait_deadline(None)
     }
 
+    /// [`RawRequest::wait`] returning the transport payload, which holds
+    /// the sender's allocation when nothing else references it.
+    pub fn wait_payload(&mut self) -> MpiResult<(Payload, Status)> {
+        self.wait_payload_deadline(None)
+    }
+
     /// Like [`RawRequest::wait`], but gives up after `timeout` with
     /// [`MpiError::Timeout`]. The request stays *pending* on timeout (it
     /// can be waited on again with a longer budget), so a hung peer —
@@ -167,14 +190,15 @@ impl RawRequest {
     /// [`RawRequest::wait`] with an optional absolute deadline — the form
     /// used when one budget spans several requests. `None` waits forever.
     pub fn wait_deadline(&mut self, deadline: Option<Instant>) -> MpiResult<(Vec<u8>, Status)> {
+        let (payload, status) = self.wait_payload_deadline(deadline)?;
+        Ok((payload.into_vec(), status))
+    }
+
+    fn wait_payload_deadline(&mut self, deadline: Option<Instant>) -> MpiResult<(Payload, Status)> {
         let start = Instant::now();
-        let done_status = Status {
-            source: usize::MAX,
-            tag: 0,
-            bytes: 0,
-        };
+        let done = || (Payload::from_slice(&[]), DONE_STATUS);
         match self.kind.take() {
-            None | Some(RequestKind::SendDone) => Ok((Vec::new(), done_status)),
+            None | Some(RequestKind::SendDone) => Ok(done()),
             Some(RequestKind::Recv { key, me, group }) => {
                 let interrupt = wait_interrupt(&self.state, key.src, key.ctx);
                 match self
@@ -184,7 +208,7 @@ impl RawRequest {
                 {
                     Ok(d) => {
                         let status = Self::local_status(&group, d.src, d.tag, d.payload.len());
-                        Ok((d.payload.into_vec(), status))
+                        Ok((d.payload, status))
                     }
                     Err(e) => {
                         if e.is_timeout() {
@@ -213,7 +237,7 @@ impl RawRequest {
                     deadline,
                 );
                 match verdict {
-                    Some(Ok(())) => Ok((Vec::new(), done_status)),
+                    Some(Ok(())) => Ok(done()),
                     Some(Err(e)) => Err(e),
                     None => {
                         self.kind = Some(RequestKind::Ssend { ack, dest_global });
@@ -225,7 +249,7 @@ impl RawRequest {
                 }
             }
             Some(RequestKind::Coll(mut req)) => match req.wait_deadline(deadline) {
-                Ok(_) => Ok((Vec::new(), done_status)),
+                Ok(_) => Ok(done()),
                 Err(e) => {
                     if e.is_timeout() {
                         // The inner request accumulates `waited` across

@@ -28,10 +28,13 @@
 //! *matched* — the completion semantics the NBX sparse all-to-all algorithm
 //! (Hoefler et al., reproduced in `kamping-plugins`) relies on.
 //!
-//! Payloads are zero-copy on the fan-out path: a broadcast posts one shared
-//! allocation (`Arc<Vec<u8>>`) to every child instead of copying per
-//! receiver, and messages of at most [`INLINE_CAP`] bytes ride inline in the
-//! envelope without touching the heap at all.
+//! Payloads are zero-copy where ownership allows: a heap payload is one
+//! [`WireBuf`] behind an `Arc`, so a broadcast posts one shared allocation
+//! to every child instead of copying per receiver, and a point-to-point
+//! receiver that holds the only reference takes the sender's allocation —
+//! as a `Vec<T>` when it was allocated for `T`'s alignment. Messages of at
+//! most [`INLINE_CAP`] bytes ride inline in the envelope without touching
+//! the heap at all.
 //!
 //! Blocked receivers never poll: a deposit bumps the mailbox *gate* epoch
 //! under its mutex and signals the condvar, and failure/revocation events
@@ -46,6 +49,7 @@
 //! so cross-sender matching follows arrival order deterministically.
 
 use std::collections::VecDeque;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -59,6 +63,130 @@ use crate::trace::{EventKind, TraceCtx};
 /// elements — never allocate.
 pub const INLINE_CAP: usize = 32;
 
+/// An owned heap byte buffer that records the size and alignment it was
+/// allocated with.
+///
+/// A buffer built from a `Vec<T>` ([`WireBuf::from_pods`]) keeps `T`'s
+/// allocation, so a receiver that wants elements of the same alignment can
+/// take it back as a `Vec<T>` without copying ([`WireBuf::into_pods`]).
+/// Whatever the receiver does, the allocation is freed with the layout it
+/// was made with.
+pub struct WireBuf {
+    ptr: NonNull<u8>,
+    /// Initialized bytes.
+    len: usize,
+    /// Allocated bytes; 0 when nothing was allocated (`ptr` dangles).
+    cap: usize,
+    /// Alignment of the allocation.
+    align: usize,
+}
+
+// SAFETY: a `WireBuf` uniquely owns plain bytes, exactly like `Vec<u8>`.
+unsafe impl Send for WireBuf {}
+// SAFETY: shared access is read-only (`as_slice`), exactly like `Vec<u8>`.
+unsafe impl Sync for WireBuf {}
+
+impl WireBuf {
+    /// Takes ownership of `bytes` without copying.
+    pub fn from_bytes(bytes: Vec<u8>) -> Self {
+        // SAFETY: `u8` has no padding bytes.
+        unsafe { Self::from_pods(bytes) }
+    }
+
+    /// Takes ownership of `data`'s allocation without copying.
+    ///
+    /// # Safety
+    /// `T` must have no padding bytes, so that all of `data`'s
+    /// `len * size_of::<T>()` bytes are initialized.
+    pub unsafe fn from_pods<T: Copy>(data: Vec<T>) -> Self {
+        let size = std::mem::size_of::<T>();
+        let mut data = std::mem::ManuallyDrop::new(data);
+        // A zero-sized `T` reports capacity `usize::MAX`: 0 bytes either way.
+        Self {
+            ptr: NonNull::from(data.as_mut_slice()).cast(),
+            len: data.len() * size,
+            cap: data.capacity() * size,
+            align: std::mem::align_of::<T>(),
+        }
+    }
+
+    /// The buffer's bytes.
+    pub fn as_slice(&self) -> &[u8] {
+        // SAFETY: `ptr` is valid for `len` initialized bytes (the
+        // `from_pods` contract) and aligned; it dangles only when `len` is 0.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a zero-length buffer.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Hands the allocation back as a `Vec<T>` without copying when its
+    /// layout fits `T` — the contract of `Vec::from_raw_parts`: `T` is not
+    /// zero-sized, the alignments are equal, and both the length and the
+    /// capacity in bytes are multiples of `size_of::<T>()`. Otherwise the
+    /// buffer comes back unchanged as `Err`, for the caller to copy.
+    ///
+    /// # Safety
+    /// Every bit pattern of `size_of::<T>()` bytes must be a valid `T`.
+    pub unsafe fn into_pods<T: Copy>(self) -> Result<Vec<T>, Self> {
+        let size = std::mem::size_of::<T>();
+        if size == 0
+            || self.align != std::mem::align_of::<T>()
+            || !self.len.is_multiple_of(size)
+            || !self.cap.is_multiple_of(size)
+        {
+            return Err(self);
+        }
+        let buf = std::mem::ManuallyDrop::new(self);
+        // SAFETY: `ptr` came from a `Vec` of the global allocator with
+        // `cap` bytes at alignment `align_of::<T>()`, i.e. the layout of
+        // `cap / size` elements of `T`; its `len / size` leading elements
+        // are initialized and valid by the caller's contract. The buffer
+        // is not dropped, so the allocation has exactly one owner.
+        Ok(unsafe { Vec::from_raw_parts(buf.ptr.as_ptr().cast(), buf.len / size, buf.cap / size) })
+    }
+
+    /// The bytes as a `Vec<u8>`: the allocation itself if it was made for
+    /// bytes, one copy otherwise.
+    pub fn into_bytes(self) -> Vec<u8> {
+        // SAFETY: every bit pattern is a valid `u8`.
+        unsafe { self.into_pods::<u8>() }.unwrap_or_else(|buf| buf.as_slice().to_vec())
+    }
+}
+
+impl Drop for WireBuf {
+    fn drop(&mut self) {
+        if self.cap != 0 {
+            // SAFETY: `ptr` was allocated by the global allocator with
+            // exactly `cap` bytes at alignment `align` (the `Vec` it came
+            // from), and is freed only here, once.
+            unsafe {
+                std::alloc::dealloc(
+                    self.ptr.as_ptr(),
+                    std::alloc::Layout::from_size_align_unchecked(self.cap, self.align),
+                )
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for WireBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WireBuf")
+            .field("len", &self.len)
+            .field("cap", &self.cap)
+            .field("align", &self.align)
+            .finish()
+    }
+}
+
 /// Message bytes in flight: inline for small messages, shared (refcounted)
 /// otherwise so fan-out posts alias one allocation.
 #[derive(Debug, Clone)]
@@ -71,7 +199,7 @@ pub enum Payload {
         data: [u8; INLINE_CAP],
     },
     /// Heap bytes, shared across any number of envelopes.
-    Shared(Arc<Vec<u8>>),
+    Shared(Arc<WireBuf>),
 }
 
 impl Payload {
@@ -85,30 +213,31 @@ impl Payload {
                 data,
             }
         } else {
-            Payload::Shared(Arc::new(bytes.to_vec()))
+            Payload::Shared(Arc::new(WireBuf::from_bytes(bytes.to_vec())))
         }
     }
 
     /// Packs an owned buffer without copying (unless it fits inline, in
     /// which case the allocation is dropped).
     pub fn from_vec(v: Vec<u8>) -> Self {
-        if v.len() <= INLINE_CAP {
-            Payload::from_slice(&v)
-        } else {
-            Payload::Shared(Arc::new(v))
-        }
+        Payload::from_buf(WireBuf::from_bytes(v))
     }
 
-    /// Wraps an already-shared buffer (fan-out senders clone the `Arc`).
-    pub fn from_shared(v: Arc<Vec<u8>>) -> Self {
-        Payload::Shared(v)
+    /// Packs a [`WireBuf`] without copying (unless it fits inline, in which
+    /// case the allocation is dropped).
+    pub fn from_buf(buf: WireBuf) -> Self {
+        if buf.len() <= INLINE_CAP {
+            Payload::from_slice(buf.as_slice())
+        } else {
+            Payload::Shared(Arc::new(buf))
+        }
     }
 
     /// The payload bytes.
     pub fn as_slice(&self) -> &[u8] {
         match self {
             Payload::Inline { len, data } => &data[..*len as usize],
-            Payload::Shared(v) => v,
+            Payload::Shared(v) => v.as_slice(),
         }
     }
 
@@ -130,14 +259,22 @@ impl Payload {
         matches!(self, Payload::Inline { .. })
     }
 
-    /// Extracts owned bytes. A uniquely-held shared payload (the common
-    /// point-to-point case, and the *last* receiver of a fan-out) is
-    /// unwrapped without copying.
-    pub fn into_vec(self) -> Vec<u8> {
+    /// The heap buffer, if this payload is its only holder (the common
+    /// point-to-point case, and the *last* receiver of a fan-out). An
+    /// inline or still-aliased payload comes back unchanged as `Err`.
+    pub fn into_unique(self) -> Result<WireBuf, Self> {
         match self {
-            Payload::Inline { len, data } => data[..len as usize].to_vec(),
-            Payload::Shared(arc) => Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()),
+            Payload::Shared(arc) => Arc::try_unwrap(arc).map_err(Payload::Shared),
+            inline => Err(inline),
         }
+    }
+
+    /// Extracts owned bytes, without copying when the payload is the only
+    /// holder of a buffer that was allocated for bytes.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.into_unique()
+            .map(WireBuf::into_bytes)
+            .unwrap_or_else(|p| p.as_slice().to_vec())
     }
 }
 
@@ -690,7 +827,11 @@ impl Mailbox {
                 return Ok(hit);
             }
             if let Some(err) = interrupt() {
-                return Err(err);
+                // A peer deposits its last messages before it is marked
+                // finished or failed, so one that landed between the miss
+                // above and the mark is matched now instead of being lost
+                // behind the error.
+                return attempt(self).ok_or(err);
             }
             // The deadline is checked after one final match/interrupt pass,
             // so an envelope racing the deadline is still delivered.
@@ -1213,17 +1354,118 @@ mod tests {
 
     #[test]
     fn shared_payload_aliases_one_allocation() {
-        let arc = Arc::new(vec![9u8; 100]);
-        let a = Payload::from_shared(arc.clone());
+        let a = Payload::from_vec(vec![9u8; 100]);
+        let ptr = a.as_slice().as_ptr();
         let b = a.clone();
-        assert_eq!(Arc::strong_count(&arc), 3);
-        assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
-        drop(a);
-        drop(b);
-        // Unique holder unwraps without copying.
-        let p = Payload::from_shared(arc);
-        let back = p.into_vec();
-        assert_eq!(back.len(), 100);
+        assert_eq!(b.as_slice().as_ptr(), ptr);
+        // An aliased payload cannot give its buffer away; it copies.
+        let a = a.into_unique().unwrap_err();
+        let copy = a.into_vec();
+        assert_ne!(copy.as_ptr(), ptr);
+        assert_eq!(copy, vec![9u8; 100]);
+        // The last holder unwraps without copying.
+        let back = b.into_vec();
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(back, vec![9u8; 100]);
+    }
+
+    #[test]
+    fn wire_buf_hands_a_fitting_layout_back_without_copying() {
+        let v: Vec<u64> = (0..16).collect();
+        let ptr = v.as_ptr().cast::<u8>();
+        // SAFETY: u64 has no padding.
+        let buf = unsafe { WireBuf::from_pods(v) };
+        assert_eq!((buf.len(), buf.as_slice().as_ptr()), (128, ptr));
+        // SAFETY: every bit pattern is a valid f64.
+        let f = unsafe { buf.into_pods::<f64>() }.unwrap();
+        assert_eq!(f.as_ptr().cast::<u8>(), ptr);
+        assert_eq!(f[3].to_bits(), 3);
+
+        let bytes = vec![7u8; 40];
+        let ptr = bytes.as_ptr();
+        let back = WireBuf::from_bytes(bytes).into_bytes();
+        assert_eq!(back.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn wire_buf_refuses_a_layout_that_does_not_fit() {
+        // SAFETY (all `from_pods` / `into_pods` calls below): the element
+        // types have no padding and accept every bit pattern.
+        let halves = unsafe { WireBuf::from_pods(vec![[1u32, 0]; 8]) };
+        let halves = unsafe { halves.into_pods::<u64>() }.unwrap_err();
+        assert_eq!(halves.len(), 64);
+        let bytes = unsafe { WireBuf::from_bytes(vec![0u8; 64]).into_pods::<u64>() };
+        assert!(bytes.is_err(), "alignment 1 is not alignment 8");
+        // Equal alignment, but 40 bytes are not a whole number of 16-byte
+        // elements.
+        let odd = unsafe { WireBuf::from_pods(vec![0u64; 5]).into_pods::<[u64; 2]>() };
+        assert!(odd.is_err());
+        // A whole length is not enough: the capacity must divide as well.
+        let mut v = Vec::<u64>::with_capacity(5);
+        v.extend([1, 2, 3, 4]);
+        let cap = unsafe { WireBuf::from_pods(v).into_pods::<[u64; 2]>() }.unwrap_err();
+        assert_eq!(cap.as_slice().len(), 32);
+        let zst = unsafe { WireBuf::from_bytes(Vec::new()).into_pods::<()>() };
+        assert!(zst.is_err(), "zero-sized elements are never reclaimed");
+        // Bytes of a typed buffer come out equal, through a copy.
+        let typed = unsafe { WireBuf::from_pods(vec![0x0102_0304u32; 10]) };
+        let ptr = typed.as_slice().as_ptr();
+        let out = typed.into_bytes();
+        assert_ne!(out.as_ptr(), ptr);
+        assert_eq!(&out[..4], &0x0102_0304u32.to_ne_bytes());
+    }
+
+    #[test]
+    fn payload_of_a_wire_buf_inlines_small_and_empty_buffers() {
+        // SAFETY: u64 has no padding.
+        let small = Payload::from_buf(unsafe { WireBuf::from_pods(vec![5u64; 4]) });
+        assert!(small.is_inline());
+        assert_eq!(small.len(), INLINE_CAP);
+        assert!(small.into_unique().is_err());
+        let empty = Payload::from_buf(WireBuf::from_bytes(Vec::new()));
+        assert!(empty.is_inline() && empty.is_empty());
+        // SAFETY: u64 has no padding.
+        let big = Payload::from_buf(unsafe { WireBuf::from_pods(vec![5u64; 5]) });
+        assert!(!big.is_inline());
+        assert_eq!(big.into_unique().unwrap().len(), 40);
+    }
+
+    #[test]
+    fn undelivered_typed_buffer_is_freed_with_its_mailbox() {
+        let mb = mailbox(1);
+        // SAFETY: u64 has no padding.
+        let buf = Arc::new(unsafe { WireBuf::from_pods(vec![3u64; 1 << 17]) });
+        let weak = Arc::downgrade(&buf);
+        mb.post(Envelope {
+            src: 0,
+            tag: 0,
+            ctx: 0,
+            payload: Payload::Shared(buf),
+            ack: None,
+        });
+        assert!(weak.upgrade().is_some());
+        drop(mb);
+        assert!(weak.upgrade().is_none(), "the 1 MiB buffer was dropped");
+    }
+
+    #[test]
+    fn interrupt_racing_a_last_deposit_still_delivers_it() {
+        // Regression: the peer deposits its message and is then marked
+        // finished, both between the receiver's failed match and its
+        // interrupt check. The message must be delivered, not the error.
+        let mb = mailbox(1);
+        let key = MatchKey {
+            src: 0,
+            tag: 0,
+            ctx: 0,
+        };
+        let got = mb
+            .take_blocking(key, &|| {
+                mb.post(env(0, 0, 0, b"last words"));
+                Some(MpiError::ProcFailed { rank: 0 })
+            })
+            .unwrap();
+        assert_eq!(got.payload.as_slice(), b"last words");
     }
 
     #[test]
