@@ -7,6 +7,10 @@
 //! `MPI_SUM`. A builder without an `op` has no `call` method — forgetting
 //! the operation is a compile error, not a runtime one.
 
+use std::marker::PhantomData;
+
+use kamping_mpi::Combine;
+
 use crate::communicator::Communicator;
 use crate::error::{KResult, KampingError};
 use crate::params::{Absent, SendBuf, SendBufSlot, SendRecvBufSlot, Unset};
@@ -71,7 +75,7 @@ impl<T, F: Fn(T, T) -> T> ReduceOpSlot<T> for OpHolder<F> {
 }
 
 macro_rules! reduce_like_builder {
-    ($(#[$doc:meta])* $Name:ident, entry = $entry:ident, inplace = $InplaceName:ident, entry_inplace = $entry_inplace:ident) => {
+    ($(#[$doc:meta])* $Name:ident, entry = $entry:ident, $(#[$idoc:meta])* inplace = $InplaceName:ident, entry_inplace = $entry_inplace:ident) => {
         $(#[$doc])*
         #[must_use = "builders do nothing until .call()"]
         pub struct $Name<'c, S, F> {
@@ -82,6 +86,7 @@ macro_rules! reduce_like_builder {
         }
 
         /// In-place variant of the same operation (`send_recv_buf`).
+        $(#[$idoc])*
         #[must_use = "builders do nothing until .call()"]
         pub struct $InplaceName<'c, B, F> {
             comm: &'c Communicator,
@@ -134,7 +139,11 @@ macro_rules! reduce_like_builder {
 reduce_like_builder!(
     /// Builder for a rooted `reduce`: the elementwise reduction of
     /// everyone's buffer lands at the root (others receive empty output).
-    Reduce, entry = reduce, inplace = ReduceInplace, entry_inplace = reduce_inplace
+    Reduce, entry = reduce,
+    /// Only the root's buffer is replaced by the result; every other
+    /// rank's buffer is left unchanged, as MPI leaves a non-root's send
+    /// buffer.
+    inplace = ReduceInplace, entry_inplace = reduce_inplace
 );
 reduce_like_builder!(
     /// Builder for `allreduce`: the reduction is received by every rank.
@@ -147,18 +156,40 @@ reduce_like_builder!(
 reduce_like_builder!(
     /// Builder for `exscan` (exclusive prefix reduction; rank 0 receives an
     /// empty buffer, as its value is undefined in MPI).
-    Exscan, entry = exscan, inplace = ExscanInplace, entry_inplace = exscan_inplace
+    Exscan, entry = exscan,
+    /// Rank 0 has no prefix, so its buffer is left unchanged.
+    inplace = ExscanInplace, entry_inplace = exscan_inplace
 );
 
-/// Wraps a typed combine into the substrate's byte-level operator.
-fn byte_op<'f, T: PodType>(
-    op: &'f (dyn Fn(T, T) -> T + Sync),
-) -> impl Fn(&mut [u8], &[u8]) + Sync + 'f {
-    move |acc: &mut [u8], rhs: &[u8]| {
-        let a = pod_from_bytes::<T>(acc).expect("element size");
-        let b = pod_from_bytes::<T>(rhs).expect("element size");
-        let c = op(a, b);
-        acc.copy_from_slice(pod_value_as_bytes(&c));
+/// The typed reduction operator: `f` folded over every element pair of a
+/// received buffer in one loop, monomorphised over `T` and the user's
+/// closure so the closure inlines — the substrate calls it once per
+/// incoming buffer (a vector user function in MPI terms). Serves the
+/// blocking reductions and the nonblocking `ireduce_vec` /
+/// `iallreduce_vec`. The byte slices carry no alignment guarantee, so
+/// elements are copied in and out.
+pub(crate) struct PodOp<T, F> {
+    f: F,
+    _elem: PhantomData<fn(T, T) -> T>,
+}
+
+impl<T: PodType, F: Fn(T, T) -> T + Sync> PodOp<T, F> {
+    pub(crate) fn new(f: F) -> Self {
+        Self {
+            f,
+            _elem: PhantomData,
+        }
+    }
+}
+
+impl<T: PodType, F: Fn(T, T) -> T + Sync> Combine for PodOp<T, F> {
+    fn combine(&self, acc: &mut [u8], rhs: &[u8], elem_size: usize) {
+        debug_assert_eq!(elem_size, T::SIZE);
+        for (a, r) in acc.chunks_exact_mut(T::SIZE).zip(rhs.chunks_exact(T::SIZE)) {
+            let x = pod_from_bytes::<T>(a).expect("element size");
+            let y = pod_from_bytes::<T>(r).expect("element size");
+            a.copy_from_slice(pod_value_as_bytes(&(self.f)(x, y)));
+        }
     }
 }
 
@@ -176,12 +207,14 @@ macro_rules! reduce_call_impls {
                 let $comm = self.comm;
                 let op_slot = self.op;
                 let $root = self.root;
-                let typed = move |a: T, b: T| op_slot.combine(a, b);
-                let $bop = byte_op::<T>(&typed);
+                let $bop = PodOp::new(move |a: T, b: T| op_slot.combine(a, b));
                 #[allow(unused_mut)]
                 let mut $bytes = pod_as_bytes(self.send.slice()).to_vec();
-                let result_bytes: Vec<u8> = $body;
-                let out = crate::types::bytes_to_pods(&result_bytes)?;
+                let result: Option<Vec<u8>> = $body;
+                let out = match result {
+                    Some(bytes) => crate::types::bytes_to_pods(&bytes)?,
+                    None => Vec::new(),
+                };
                 Ok(CallResult::new(out, Absent, Absent, Absent))
             }
         }
@@ -197,12 +230,16 @@ macro_rules! reduce_call_impls {
                 let $comm = self.comm;
                 let op_slot = self.op;
                 let $root = self.root;
-                let typed = move |a: T, b: T| op_slot.combine(a, b);
-                let $bop = byte_op::<T>(&typed);
+                let $bop = PodOp::new(move |a: T, b: T| op_slot.combine(a, b));
                 #[allow(unused_mut)]
                 let mut $bytes = pod_as_bytes(self.buf.slice()).to_vec();
-                let result_bytes: Vec<u8> = $body;
-                let out = self.buf.replace(&result_bytes)?;
+                let result: Option<Vec<u8>> = $body;
+                // A rank without a result keeps its buffer unchanged, as
+                // MPI leaves a non-root's send buffer.
+                let out = match result {
+                    Some(bytes) => self.buf.replace(&bytes)?,
+                    None => self.buf.keep(),
+                };
                 Ok(CallResult::new(out, Absent, Absent, Absent))
             }
         }
@@ -212,29 +249,24 @@ macro_rules! reduce_call_impls {
 reduce_call_impls!(Reduce, ReduceInplace, |comm, bytes, bop, root| {
     comm.raw()
         .reduce(&mut bytes, &bop, elem_size::<T>()?, root)?;
-    if comm.rank() == root {
-        bytes
-    } else {
-        Vec::new()
-    }
+    (comm.rank() == root).then_some(bytes)
 });
 
 reduce_call_impls!(Allreduce, AllreduceInplace, |comm, bytes, bop, root| {
     let _ = root;
     comm.raw().allreduce(&mut bytes, &bop, elem_size::<T>()?)?;
-    bytes
+    Some(bytes)
 });
 
 reduce_call_impls!(Scan, ScanInplace, |comm, bytes, bop, root| {
     let _ = root;
     comm.raw().scan(&mut bytes, &bop, elem_size::<T>()?)?;
-    bytes
+    Some(bytes)
 });
 
 reduce_call_impls!(Exscan, ExscanInplace, |comm, bytes, bop, root| {
     let _ = root;
-    let prefix = comm.raw().exscan(&bytes, &bop, elem_size::<T>()?)?;
-    prefix.unwrap_or_default()
+    comm.raw().exscan(&bytes, &bop, elem_size::<T>()?)?
 });
 
 fn elem_size<T: PodType>() -> KResult<usize> {
@@ -352,6 +384,63 @@ mod tests {
                 .call()
                 .unwrap();
             assert_eq!(v, vec![3; 3]);
+        });
+    }
+
+    #[test]
+    fn reduce_inplace_leaves_non_root_buffers_unchanged() {
+        crate::run(4, |comm| {
+            let mine = vec![comm.rank() as u64 + 1, 10];
+            let mut v = mine.clone();
+            comm.reduce_inplace(send_recv_buf(&mut v))
+                .op(ops::sum())
+                .root(2)
+                .call()
+                .unwrap();
+            if comm.rank() == 2 {
+                assert_eq!(v, vec![10, 40]);
+            } else {
+                assert_eq!(v, mine);
+            }
+            // Owned buffers come back unchanged too.
+            let out = comm
+                .reduce_inplace(send_recv_buf_owned(mine.clone()))
+                .op(ops::sum())
+                .root(1)
+                .call()
+                .unwrap()
+                .into_recv_buf();
+            assert_eq!(out, if comm.rank() == 1 { vec![10, 40] } else { mine });
+        });
+    }
+
+    #[test]
+    fn scan_inplace_replaces_every_buffer_with_its_prefix() {
+        crate::run(4, |comm| {
+            let r = comm.rank() as u64;
+            let mut v = vec![r + 1, 2];
+            comm.scan_inplace(send_recv_buf(&mut v))
+                .op(ops::sum())
+                .call()
+                .unwrap();
+            assert_eq!(v, vec![(r + 1) * (r + 2) / 2, 2 * (r + 1)]);
+        });
+    }
+
+    #[test]
+    fn exscan_inplace_leaves_rank_zero_unchanged() {
+        crate::run(4, |comm| {
+            let r = comm.rank() as u64;
+            let mut v = vec![r + 1, 2];
+            comm.exscan_inplace(send_recv_buf(&mut v))
+                .op(ops::sum())
+                .call()
+                .unwrap();
+            if r == 0 {
+                assert_eq!(v, vec![1, 2]);
+            } else {
+                assert_eq!(v, vec![r * (r + 1) / 2, 2 * r]);
+            }
         });
     }
 

@@ -28,11 +28,12 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
-use kamping_mpi::{OwnedByteOp, RawCollRequest};
+use kamping_mpi::RawCollRequest;
 
+use crate::collectives::reduce::PodOp;
 use crate::communicator::Communicator;
 use crate::error::KResult;
-use crate::types::{bytes_to_pods, pod_as_bytes, pod_from_bytes, pod_value_as_bytes, PodType};
+use crate::types::{bytes_to_pods, pod_as_bytes, PodType};
 
 /// A nonblocking collective in flight, owning its buffers (§III-E).
 ///
@@ -89,17 +90,6 @@ impl<T> std::fmt::Debug for CollRequest<T> {
     }
 }
 
-/// Lifts a typed combine into the substrate's owned byte operator. The
-/// closure must be `Send + Sync + 'static`: any delivering thread may run
-/// it, and the operation may outlive the issuing stack frame.
-fn owned_byte_op<T: PodType>(op: impl Fn(T, T) -> T + Send + Sync + 'static) -> OwnedByteOp {
-    Arc::new(move |acc: &mut [u8], rhs: &[u8]| {
-        let a = pod_from_bytes::<T>(acc).expect("element size");
-        let b = pod_from_bytes::<T>(rhs).expect("element size");
-        acc.copy_from_slice(pod_value_as_bytes(&op(a, b)));
-    })
-}
-
 impl Communicator {
     /// Nonblocking broadcast of a vector from `root_rank`: the root moves
     /// its data in; every rank's `wait` returns the broadcast elements.
@@ -123,7 +113,7 @@ impl Communicator {
         let bytes = pod_as_bytes(&data).to_vec();
         Ok(CollRequest::new(self.raw().ireduce(
             bytes,
-            owned_byte_op::<T>(op),
+            Arc::new(PodOp::new(op)),
             T::SIZE,
             root_rank,
         )?))
@@ -139,7 +129,7 @@ impl Communicator {
         let bytes = pod_as_bytes(&data).to_vec();
         Ok(CollRequest::new(self.raw().iallreduce(
             bytes,
-            owned_byte_op::<T>(op),
+            Arc::new(PodOp::new(op)),
             T::SIZE,
         )?))
     }

@@ -150,14 +150,12 @@ fn for_each_block(wire: &[u8], mut f: impl FnMut(usize, usize, &[u8])) -> MpiRes
     Ok(())
 }
 
-/// Applies `op` elementwise: both buffers are sequences of `elem_size`-byte
-/// elements of equal length.
+/// Folds one received buffer into `acc` with a single operator call: both
+/// buffers are sequences of `elem_size`-byte elements of equal length.
 pub(crate) fn combine(acc: &mut [u8], rhs: &[u8], op: ByteOp<'_>, elem_size: usize) {
     debug_assert_eq!(acc.len(), rhs.len());
     debug_assert!(elem_size > 0 && acc.len().is_multiple_of(elem_size));
-    for (a, r) in acc.chunks_mut(elem_size).zip(rhs.chunks(elem_size)) {
-        op(a, r);
-    }
+    op.combine(acc, rhs, elem_size);
 }
 
 /// Exclusive prefix sum of `counts`, i.e. canonical displacements.

@@ -52,17 +52,19 @@ use crate::profile::Op;
 use crate::tag::{coll_tag, Tag};
 use crate::transport::{Envelope, Mailbox, MatchKey, Payload};
 use crate::universe::UniverseState;
-use crate::RawComm;
+use crate::{Combine, RawComm};
 
 use sm::{
     IallgathervSm, IallreduceSm, IalltoallBruckSm, IalltoallvSm, IbarrierSm, IbcastSm, IreduceSm,
 };
 
-/// Owned element-combine closure for nonblocking reductions. The blocking
-/// twins borrow their operator ([`crate::ByteOp`]); an i-reduction outlives
-/// its call site, so the engine needs ownership — and any thread that
-/// delivers an envelope may run the combine, hence `Send + Sync`.
-pub type OwnedByteOp = Arc<dyn Fn(&mut [u8], &[u8]) + Send + Sync>;
+/// Owned reduction operator of the nonblocking reductions, called once per
+/// incoming buffer like [`crate::ByteOp`] (see [`crate::Combine`]). The
+/// blocking twins borrow their operator; an i-reduction outlives its call
+/// site, so the engine needs ownership — and any thread that delivers an
+/// envelope may run the combine, hence `Send` (and `Sync`, which every
+/// `Combine` is). `Arc::new(closure)` works for a per-element closure.
+pub type OwnedByteOp = Arc<dyn Combine + Send>;
 
 /// Everything a schedule step may touch, borrowed for the duration of one
 /// [`CollSm::step`] call. Lives on the stack of whichever thread advances

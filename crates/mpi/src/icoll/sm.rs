@@ -10,6 +10,7 @@
 //! validation happens before construction (in the `RawComm` entry points),
 //! so constructors only stage state and post initial sends.
 
+use crate::coll::combine;
 use crate::error::{MpiError, MpiResult};
 use crate::tag::Tag;
 use crate::transport::Payload;
@@ -221,9 +222,7 @@ impl CollSm for IreduceSm {
                             what: "reduce buffers differ in length",
                         });
                     }
-                    for (a, r) in self.buf.chunks_mut(self.elem).zip(part.chunks(self.elem)) {
-                        (self.op)(a, r);
-                    }
+                    combine(&mut self.buf, part, &*self.op, self.elem);
                 }
                 self.mask <<= 1;
             } else {

@@ -56,7 +56,7 @@
 //!     let me = comm.rank() as u64;
 //!     // allreduce of one u64 per rank
 //!     let mut buf = me.to_le_bytes().to_vec();
-//!     comm.allreduce(&mut buf, &|acc, x| {
+//!     comm.allreduce(&mut buf, &|acc: &mut [u8], x: &[u8]| {
 //!         let a = u64::from_le_bytes(acc.try_into().unwrap());
 //!         let b = u64::from_le_bytes(x.try_into().unwrap());
 //!         acc.copy_from_slice(&(a + b).to_le_bytes());
@@ -104,13 +104,44 @@ pub use tag::{Tag, ANY_SOURCE, ANY_TAG};
 pub use trace::{EventKind, TraceConfig, TraceEvent};
 pub use universe::{TraceReport, Universe};
 
-/// Reduction operator over packed byte buffers.
+/// A reduction operator over packed byte buffers — the analogue of an MPI
+/// user function, which MPI calls with a whole vector of `len` elements.
 ///
-/// The closure combines one *element* at a time: it receives `acc` (the
-/// accumulated element, updated in place) and `rhs` (the incoming element),
-/// both exactly `elem_size` bytes long. The typed layer above supplies
-/// closures that reinterpret the bytes. Operators are applied in a
-/// deterministic tree order by the collectives, but the *shape* of that tree
-/// depends on the communicator size — see the reproducible-reduce plugin for
-/// an order-invariant alternative.
-pub type ByteOp<'a> = &'a (dyn Fn(&mut [u8], &[u8]) + Sync);
+/// The collectives call [`Combine::combine`] **once per incoming buffer**
+/// (or, in Rabenseifner's reduce-scatter, once per incoming chunk): `acc`
+/// is the accumulated data, updated in place, and `rhs` the data just
+/// received. Both are equally long, a whole number of `elem_size`-byte
+/// elements (`elem_size > 0`), and start at an element boundary; neither
+/// is guaranteed any alignment beyond a byte. Element `i` of `acc`
+/// combines with element `i` of `rhs`. The typed layer implements this
+/// trait once per element type and user closure, so the element loop
+/// inlines the user's operation.
+///
+/// Every `Fn(&mut [u8], &[u8]) + Sync` closure is a `Combine` that works
+/// one *element* at a time: the blanket impl calls it with each pair of
+/// `elem_size`-byte elements in turn. Annotate the closure's parameters
+/// (`|acc: &mut [u8], x: &[u8]|`); the signature is not inferred through
+/// the trait.
+///
+/// Operators are applied in a deterministic tree order by the collectives,
+/// but the *shape* of that tree depends on the communicator size — see the
+/// reproducible-reduce plugin for an order-invariant alternative.
+pub trait Combine: Sync {
+    /// Folds `rhs` into `acc` elementwise.
+    fn combine(&self, acc: &mut [u8], rhs: &[u8], elem_size: usize);
+}
+
+impl<F: Fn(&mut [u8], &[u8]) + Sync> Combine for F {
+    fn combine(&self, acc: &mut [u8], rhs: &[u8], elem_size: usize) {
+        for (a, r) in acc
+            .chunks_exact_mut(elem_size)
+            .zip(rhs.chunks_exact(elem_size))
+        {
+            self(a, r);
+        }
+    }
+}
+
+/// Borrowed reduction operator of the blocking collectives (see
+/// [`Combine`]).
+pub type ByteOp<'a> = &'a dyn Combine;

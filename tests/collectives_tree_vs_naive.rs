@@ -47,7 +47,7 @@ fn bcast_tree_matches_naive() {
 
 #[test]
 fn reduce_tree_matches_naive() {
-    let sum: kamping_mpi::ByteOp<'_> = &|acc, x| {
+    let sum: kamping_mpi::ByteOp<'_> = &|acc: &mut [u8], x: &[u8]| {
         for (a, b) in acc.chunks_exact_mut(8).zip(x.chunks_exact(8)) {
             let s = u64::from_le_bytes(a.try_into().unwrap())
                 .wrapping_add(u64::from_le_bytes(b.try_into().unwrap()));
@@ -176,7 +176,7 @@ fn hier_strategy_matches_naive_at_p64() {
     // synthetic 4-host topology and check them against the naive
     // baselines at a production-ish rank count.
     use kamping_mpi::CollStrategy;
-    let sum: kamping_mpi::ByteOp<'_> = &|acc, x| {
+    let sum: kamping_mpi::ByteOp<'_> = &|acc: &mut [u8], x: &[u8]| {
         for (a, b) in acc.chunks_exact_mut(8).zip(x.chunks_exact(8)) {
             let s = u64::from_le_bytes(a.try_into().unwrap())
                 .wrapping_add(u64::from_le_bytes(b.try_into().unwrap()));
@@ -231,7 +231,7 @@ fn hier_strategy_matches_naive_at_p64() {
 fn rabenseifner_auto_kicks_in_and_matches_at_p64() {
     // A >=32 KiB payload at p=64 on one host takes the Rabenseifner
     // reduce-scatter + allgather path under Auto; equivalence vs naive.
-    let sum: kamping_mpi::ByteOp<'_> = &|acc, x| {
+    let sum: kamping_mpi::ByteOp<'_> = &|acc: &mut [u8], x: &[u8]| {
         for (a, b) in acc.chunks_exact_mut(8).zip(x.chunks_exact(8)) {
             let s = u64::from_le_bytes(a.try_into().unwrap())
                 .wrapping_add(u64::from_le_bytes(b.try_into().unwrap()));
